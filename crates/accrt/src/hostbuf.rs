@@ -31,40 +31,39 @@ impl HostBuffer {
         }
     }
 
-    /// Build from `i32` data.
-    pub fn from_i32(vals: &[i32]) -> Self {
-        let mut b = HostBuffer::new(CType::Int, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::I32(*v));
+    /// One element of `ty` per item of `elems`, each item's little-endian
+    /// bytes written in place into storage sized exactly once (no
+    /// per-element `Value`).
+    pub(crate) fn from_le_bytes<const N: usize>(
+        ty: CType,
+        elems: impl ExactSizeIterator<Item = [u8; N]>,
+    ) -> Self {
+        assert_eq!(N, ty.size(), "element width of {ty}");
+        let mut b = HostBuffer::new(ty, elems.len());
+        for (out, e) in b.data.chunks_exact_mut(N).zip(elems) {
+            out.copy_from_slice(&e);
         }
         b
+    }
+
+    /// Build from `i32` data.
+    pub fn from_i32(vals: &[i32]) -> Self {
+        Self::from_le_bytes(CType::Int, vals.iter().map(|v| v.to_le_bytes()))
     }
 
     /// Build from `i64` data.
     pub fn from_i64(vals: &[i64]) -> Self {
-        let mut b = HostBuffer::new(CType::Long, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::I64(*v));
-        }
-        b
+        Self::from_le_bytes(CType::Long, vals.iter().map(|v| v.to_le_bytes()))
     }
 
-    /// Build from `f32` data.
+    /// Build from `f32` data (bit-exact, NaN payloads included).
     pub fn from_f32(vals: &[f32]) -> Self {
-        let mut b = HostBuffer::new(CType::Float, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::F32(*v));
-        }
-        b
+        Self::from_le_bytes(CType::Float, vals.iter().map(|v| v.to_le_bytes()))
     }
 
-    /// Build from `f64` data.
+    /// Build from `f64` data (bit-exact, NaN payloads included).
     pub fn from_f64(vals: &[f64]) -> Self {
-        let mut b = HostBuffer::new(CType::Double, vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            b.set(i, Value::F64(*v));
-        }
-        b
+        Self::from_le_bytes(CType::Double, vals.iter().map(|v| v.to_le_bytes()))
     }
 
     /// Element type.

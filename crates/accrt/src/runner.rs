@@ -434,24 +434,82 @@ impl AccRunner {
         Ok(())
     }
 
-    /// Ensure a device buffer of the declared size exists for array `i`.
-    fn ensure_device_array(&mut self, i: usize) -> Result<(BufferHandle, u64), AccError> {
-        let decl = self.prog.arrays[i].clone();
-        let mut elems = 1u64;
-        for d in &decl.dims {
-            elems *= eval_host_extent(d, &self.scalars, &format!("dimension of `{}`", decl.name))?;
+    /// Element count of array `i` at the current scalar bindings.
+    fn array_elems(&self, i: usize) -> Result<u64, AccError> {
+        let decl = &self.prog.arrays[i];
+        let what = format!("dimension of `{}`", decl.name);
+        decl.dims.iter().try_fold(1u64, |n, d| {
+            n.checked_mul(eval_host_extent(d, &self.scalars, &what)?)
+                .ok_or_else(|| {
+                    AccError::Binding(format!(
+                        "array `{}` has more elements than fit in 64 bits",
+                        decl.name
+                    ))
+                })
+        })
+    }
+
+    /// Ensure a device buffer of the declared size exists for array `i`
+    /// (a `present` binding must already have one).
+    fn ensure_device_array(
+        &mut self,
+        i: usize,
+        dir: DataDir,
+    ) -> Result<(BufferHandle, u64), AccError> {
+        let elems = self.array_elems(i)?;
+        let decl = &self.prog.arrays[i];
+        match self.dev_arrays[i] {
+            Some(have) if have.1 == elems => return Ok(have),
+            _ if dir == DataDir::Present => {
+                return Err(AccError::Binding(format!(
+                    "array `{}` marked present but not on the device",
+                    decl.name
+                )))
+            }
+            _ => {}
         }
-        let realloc = match self.dev_arrays[i] {
-            Some((_, have)) => have != elems,
-            None => true,
-        };
-        if realloc {
-            let h = self
-                .device
-                .alloc(elems * machine_ty(decl.ty).size() as u64)?;
-            self.dev_arrays[i] = Some((h, elems));
+        let h = self.device.alloc_elems(machine_ty(decl.ty), elems)?;
+        self.dev_arrays[i] = Some((h, elems));
+        Ok((h, elems))
+    }
+
+    /// Check that host array `i` is bound with exactly `elems` elements.
+    fn check_host_len(&self, i: usize, elems: u64) -> Result<(), AccError> {
+        let name = &self.prog.arrays[i].name;
+        let host = self.arrays[i]
+            .as_ref()
+            .ok_or_else(|| AccError::Binding(format!("array `{name}` is not bound")))?;
+        if host.len() as u64 != elems {
+            return Err(AccError::Binding(format!(
+                "array `{name}` declared with {elems} element(s) but bound with {}",
+                host.len()
+            )));
         }
-        Ok(self.dev_arrays[i].unwrap())
+        Ok(())
+    }
+
+    /// Copy bound host array `i` to `handle`, straight from its bytes.
+    fn upload_array(&mut self, i: usize, handle: BufferHandle) -> Result<(), AccError> {
+        let host = self.arrays[i].as_ref().ok_or_else(|| {
+            AccError::Binding(format!("array `{}` is not bound", self.prog.arrays[i].name))
+        })?;
+        self.device.memcpy_h2d(handle, host.bytes())?;
+        Ok(())
+    }
+
+    /// Copy array `i`'s device buffer straight into its host bytes,
+    /// creating a zeroed host buffer first if the array was never bound.
+    fn download_array(&mut self, i: usize) -> Result<(), AccError> {
+        let (handle, elems) = self.dev_arrays[i].ok_or_else(|| {
+            AccError::Binding(format!(
+                "array `{}` has no device buffer",
+                self.prog.arrays[i].name
+            ))
+        })?;
+        let ty = self.prog.arrays[i].ty;
+        let host = self.arrays[i].get_or_insert_with(|| HostBuffer::new(ty, elems as usize));
+        self.device.memcpy_d2h(handle, host.bytes_mut())?;
+        Ok(())
     }
 
     /// Enter a structured-data binding: allocate, optionally upload, and
@@ -459,26 +517,10 @@ impl AccRunner {
     /// OpenACC `present_or_*` semantics).
     fn enter_binding(&mut self, i: usize, dir: DataDir) -> Result<(), AccError> {
         if self.resident[i] == 0 {
-            if dir == DataDir::Present && self.dev_arrays[i].is_none() {
-                return Err(AccError::Binding(format!(
-                    "array `{}` marked present but not on the device",
-                    self.prog.arrays[i].name
-                )));
-            }
-            let (handle, elems) = self.ensure_device_array(i)?;
+            let (handle, elems) = self.ensure_device_array(i, dir)?;
             if matches!(dir, DataDir::CopyIn | DataDir::Copy) {
-                let host = self.arrays[i].as_ref().ok_or_else(|| {
-                    AccError::Binding(format!("array `{}` is not bound", self.prog.arrays[i].name))
-                })?;
-                if host.len() as u64 != elems {
-                    return Err(AccError::Binding(format!(
-                        "array `{}` declared with {elems} element(s) but bound with {}",
-                        self.prog.arrays[i].name,
-                        host.len()
-                    )));
-                }
-                let bytes = host.bytes().to_vec();
-                self.device.memcpy_h2d(handle, &bytes)?;
+                self.check_host_len(i, elems)?;
+                self.upload_array(i, handle)?;
             }
         }
         self.resident[i] += 1;
@@ -493,24 +535,6 @@ impl AccRunner {
         if self.resident[i] == 0 && matches!(dir, DataDir::CopyOut | DataDir::Copy) {
             self.download_array(i)?;
         }
-        Ok(())
-    }
-
-    fn download_array(&mut self, i: usize) -> Result<(), AccError> {
-        let (handle, elems) = self.dev_arrays[i].ok_or_else(|| {
-            AccError::Binding(format!(
-                "array `{}` has no device buffer",
-                self.prog.arrays[i].name
-            ))
-        })?;
-        let decl_ty = self.prog.arrays[i].ty;
-        if self.arrays[i].is_none() {
-            self.arrays[i] = Some(HostBuffer::new(decl_ty, elems as usize));
-        }
-        let host = self.arrays[i].as_mut().unwrap();
-        let mut bytes = vec![0u8; host.bytes().len()];
-        self.device.memcpy_d2h(handle, &mut bytes)?;
-        host.bytes_mut().copy_from_slice(&bytes);
         Ok(())
     }
 
@@ -540,17 +564,7 @@ impl AccRunner {
     /// device without ending residency.
     pub fn update_host(&mut self, name: &str) -> Result<(), AccError> {
         let i = self.array_index(name)?;
-        let (handle, elems) = self.dev_arrays[i]
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` has no device buffer")))?;
-        let decl_ty = self.prog.arrays[i].ty;
-        if self.arrays[i].is_none() {
-            self.arrays[i] = Some(HostBuffer::new(decl_ty, elems as usize));
-        }
-        let host = self.arrays[i].as_mut().unwrap();
-        let mut bytes = vec![0u8; host.bytes().len()];
-        self.device.memcpy_d2h(handle, &mut bytes)?;
-        host.bytes_mut().copy_from_slice(&bytes);
-        Ok(())
+        self.download_array(i)
     }
 
     /// `#pragma acc update device(name)`: push the host copy to the device
@@ -559,12 +573,7 @@ impl AccRunner {
         let i = self.array_index(name)?;
         let (handle, _) = self.dev_arrays[i]
             .ok_or_else(|| AccError::Binding(format!("array `{name}` has no device buffer")))?;
-        let host = self.arrays[i]
-            .as_ref()
-            .ok_or_else(|| AccError::Binding(format!("array `{name}` is not bound")))?;
-        let bytes = host.bytes().to_vec();
-        self.device.memcpy_h2d(handle, &bytes)?;
-        Ok(())
+        self.upload_array(i, handle)
     }
 
     /// Execute the program's host assignments (idempotent; runs once).
@@ -723,53 +732,14 @@ impl AccRunner {
         let t_h2d = self.obs_now();
         let data = self.prog.regions[region].data.clone();
         for db in &data {
-            let decl = self.prog.arrays[db.array].clone();
-            let elems: u64 = {
-                let mut n = 1u64;
-                for d in &decl.dims {
-                    n *= eval_host_extent(
-                        d,
-                        &self.scalars,
-                        &format!("dimension of `{}`", decl.name),
-                    )?;
+            let (handle, elems) = self.ensure_device_array(db.array, db.dir)?;
+            if self.resident[db.array] == 0 {
+                if matches!(db.dir, DataDir::CopyIn | DataDir::Copy | DataDir::CopyOut) {
+                    self.check_host_len(db.array, elems)?;
                 }
-                n
-            };
-            // Ensure a device buffer of the right size exists.
-            let need_bytes = elems * machine_ty(decl.ty).size() as u64;
-            let realloc = match self.dev_arrays[db.array] {
-                Some((_, have)) => have != elems,
-                None => true,
-            };
-            if realloc {
-                if db.dir == DataDir::Present {
-                    return Err(AccError::Binding(format!(
-                        "array `{}` marked present but not on the device",
-                        decl.name
-                    )));
+                if matches!(db.dir, DataDir::CopyIn | DataDir::Copy) {
+                    self.upload_array(db.array, handle)?;
                 }
-                let h = self.device.alloc(need_bytes)?;
-                self.dev_arrays[db.array] = Some((h, elems));
-            }
-            let (handle, _) = self.dev_arrays[db.array].unwrap();
-            let resident = self.resident[db.array] > 0;
-            let needs_in = !resident && matches!(db.dir, DataDir::CopyIn | DataDir::Copy);
-            let needs_host = needs_in || (!resident && matches!(db.dir, DataDir::CopyOut));
-            if needs_host {
-                let host = self.arrays[db.array].as_ref().ok_or_else(|| {
-                    AccError::Binding(format!("array `{}` is not bound", decl.name))
-                })?;
-                if host.len() as u64 != elems {
-                    return Err(AccError::Binding(format!(
-                        "array `{}` declared with {elems} element(s) but bound with {}",
-                        decl.name,
-                        host.len()
-                    )));
-                }
-            }
-            if needs_in {
-                let bytes = self.arrays[db.array].as_ref().unwrap().bytes().to_vec();
-                self.device.memcpy_h2d(handle, &bytes)?;
             }
         }
         self.obs_record(&format!("h2d.region{region}"), t_h2d);
@@ -915,19 +885,9 @@ impl AccRunner {
         // Data out.
         let t_d2h = self.obs_now();
         for db in &data {
-            if self.resident[db.array] > 0 {
-                continue; // device-resident: host copy refreshed at scope exit
-            }
-            if matches!(db.dir, DataDir::CopyOut | DataDir::Copy) {
-                let (handle, elems) = self.dev_arrays[db.array].unwrap();
-                let decl_ty = self.prog.arrays[db.array].ty;
-                if self.arrays[db.array].is_none() {
-                    self.arrays[db.array] = Some(HostBuffer::new(decl_ty, elems as usize));
-                }
-                let host = self.arrays[db.array].as_mut().unwrap();
-                let mut bytes = vec![0u8; host.bytes().len()];
-                self.device.memcpy_d2h(handle, &mut bytes)?;
-                host.bytes_mut().copy_from_slice(&bytes);
+            // Device-resident arrays are refreshed at scope exit instead.
+            if self.resident[db.array] == 0 && matches!(db.dir, DataDir::CopyOut | DataDir::Copy) {
+                self.download_array(db.array)?;
             }
         }
         self.obs_record(&format!("d2h.region{region}"), t_d2h);
@@ -941,6 +901,7 @@ impl AccRunner {
     /// and the `uhaccd` `/run` and `/profile` endpoints use, so the same
     /// source yields byte-identical results on every surface.
     pub fn bind_deterministic_inputs(&mut self, n: u64) -> Result<(), AccError> {
+        let t_bind = self.obs_now();
         let hosts: Vec<(String, CType)> = self
             .prog
             .hosts
@@ -954,19 +915,12 @@ impl AccRunner {
             }
         }
         self.run_host_assigns()?;
-        let arrays = self.prog.arrays.clone();
         // Multi-dimensional arrays scale super-linearly in `n`; refuse
         // absurd allocations with a diagnostic instead of aborting OOM.
         const MAX_ELEMS: u64 = 1 << 28;
-        for a in &arrays {
-            let mut elems = 1u64;
-            for d in &a.dims {
-                elems = elems.saturating_mul(eval_host_extent(
-                    d,
-                    &self.scalars,
-                    &format!("dimension of `{}`", a.name),
-                )?);
-            }
+        for i in 0..self.prog.arrays.len() {
+            let elems = self.array_elems(i)?;
+            let a = &self.prog.arrays[i];
             if elems > MAX_ELEMS {
                 return Err(AccError::Binding(format!(
                     "array `{}` needs {elems} elements at n={n}; the deterministic input \
@@ -974,17 +928,19 @@ impl AccRunner {
                     a.name
                 )));
             }
-            let mut buf = HostBuffer::new(a.ty, elems as usize);
-            for i in 0..elems as usize {
-                let k = (i as i64 * 7 + 3) % 101 - 50;
-                let v = match a.ty {
-                    CType::Int | CType::Long => Value::I64(k),
-                    CType::Float | CType::Double => Value::F64(k as f64 / 101.0),
-                };
-                buf.set(i, v);
-            }
-            self.bind_array(&a.name, buf)?;
+            let k = (0..elems as usize).map(|i| (i as i64 * 7 + 3) % 101 - 50);
+            let frac = |k: i64| k as f64 / 101.0;
+            let buf = match a.ty {
+                CType::Int => HostBuffer::from_le_bytes(a.ty, k.map(|k| (k as i32).to_le_bytes())),
+                CType::Long => HostBuffer::from_le_bytes(a.ty, k.map(i64::to_le_bytes)),
+                CType::Float => {
+                    HostBuffer::from_le_bytes(a.ty, k.map(|k| (frac(k) as f32).to_le_bytes()))
+                }
+                CType::Double => HostBuffer::from_le_bytes(a.ty, k.map(|k| frac(k).to_le_bytes())),
+            };
+            self.arrays[i] = Some(buf);
         }
+        self.obs_record("bind", t_bind);
         Ok(())
     }
 

@@ -192,3 +192,25 @@ fn program_accessor_exposes_hir() {
     assert_eq!(r.program().arrays.len(), 1);
     assert_eq!(r.program().regions.len(), 1);
 }
+
+#[test]
+fn overflowing_extent_product_is_a_binding_error() {
+    let src = r#"
+        long n; double s;
+        double x[n][n];
+        s = 0.0;
+        #pragma acc parallel loop gang vector reduction(+:s) copyin(x)
+        for (int i = 0; i < 4; i++) { s += x[0][i]; }
+    "#;
+    let mut r = AccRunner::new(src).unwrap();
+    r.bind_int("n", 1 << 33).unwrap();
+    r.bind_array("x", HostBuffer::from_f64(&[1.0; 4])).unwrap();
+    // (2^33)^2 elements wraps to 0 in 64 bits: it must be reported, not
+    // panic (debug) or be misread as a 0-element array (release).
+    for err in [r.run().unwrap_err(), r.enter_data("x").unwrap_err()] {
+        match err {
+            AccError::Binding(msg) => assert!(msg.contains("64 bits"), "{msg}"),
+            e => panic!("expected a binding error, got {e:?}"),
+        }
+    }
+}

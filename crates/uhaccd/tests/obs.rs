@@ -118,9 +118,9 @@ fn metrics_exposition_is_pinned_under_virtual_clock() {
 
 /// `/trace` returns one Chrome/Perfetto file holding both the request
 /// track (pid 100: queue.wait → http.parse → cache.lookup → exec with
-/// per-region phases → render → request) and the device stream/SM
-/// tracks spliced in by the `/profile` execution, remapped to the
-/// request's own pid pair and labelled with its trace id.
+/// input binding and per-region phases → render → request) and the
+/// device stream/SM tracks spliced in by the `/profile` execution,
+/// remapped to the request's own pid pair and labelled with its trace id.
 #[test]
 fn trace_unifies_request_and_device_tracks() {
     let addr = spawn_virtual();
@@ -136,6 +136,7 @@ fn trace_unifies_request_and_device_tracks() {
         "queue.wait",
         "http.parse",
         "cache.lookup",
+        "bind",
         "codegen.region0",
         "h2d.region0",
         "launch.region0",
