@@ -1,5 +1,5 @@
-//! The compiled execution tier: pre-decoded basic-block runs, an SoA
-//! register file, and warp-uniform fast paths.
+//! The compiled execution tier: a statically-typed lowering over
+//! basic-block runs, a bit-row register file, and warp-uniform fast paths.
 //!
 //! The reference interpreter ([`crate::exec`]) dispatches one [`Inst`] per
 //! warp-step: it re-scans the warp for the minimum PC, re-collects the
@@ -9,15 +9,14 @@
 //! in every observable output**: memory contents, [`crate::stats::LaunchStats`],
 //! modelled cycles, traces, hazard reports, profiles, and error values.
 //!
-//! # Pre-decoded runs
+//! # Runs
 //!
-//! [`CompiledKernel::compile`] splits the instruction stream into *runs* —
-//! maximal straight-line spans `[leader, next_leader)` where leaders are
-//! instruction 0, every branch target, and every instruction following a
-//! `Bra`, `Ret`, or `Bar`. Runs are the basic blocks of
-//! [`crate::verify`]'s CFG additionally split after barriers, because a
-//! warp's lanes *rest* at the instruction after a `Bar` while waiting for
-//! the release.
+//! [`CompiledKernel::compile`] executes the instruction stream in *runs*:
+//! the basic blocks of the shared `gpsim::cfg` CFG, additionally split
+//! after every `Bar`, because a warp's lanes *rest* at the instruction
+//! after a `Bar` while waiting for the release. Every run starts at a
+//! *leader*: instruction 0, a branch target, or the instruction after a
+//! `Bra`, `Ret`, or `Bar`.
 //!
 //! The scheduling invariant that makes run-at-a-time execution exact:
 //! runnable lanes only ever rest at leaders (initially at 0; a branch
@@ -32,208 +31,95 @@
 //! run boundaries: the min-PC scan, barrier bookkeeping, and hazard
 //! details all happen when every warp is blocked or between runs).
 //!
-//! # SoA register file
+//! # Typed lowering
 //!
-//! Registers live in one flat `Vec<Value>` indexed `reg * n_threads +
-//! lane` instead of a per-thread `Vec` each — one allocation per block
-//! and cache-friendly per-register rows for the broadcast paths.
+//! `compile` assigns every virtual register a single static [`Ty`] (a
+//! flow-insensitive merge over all of its definitions; parameter values
+//! supply the types of `ReadParam`, and `Mov`/`Select` propagate to a
+//! fixpoint), then lowers every instruction to a `TOp` whose operand
+//! conversions (`Conv`) are resolved at compile time to mirror
+//! [`Value::convert`] / `as_u64` / `as_i64` / `as_bool` *exactly*.
+//! Immediates are pre-converted into broadcast constant rows, and the
+//! `(op, ty)` dispatch is hoisted out of the lane loops.
+//!
+//! # Bit-row register file
+//!
+//! A block's registers live in one flat `Vec<u64>` of *bit rows* indexed
+//! `row * n_threads + lane` — register rows first, then the constant
+//! rows — instead of a per-thread `Vec<Value>` each: one allocation per
+//! block and cache-friendly per-register rows for the lane loops.
+//! `I32`/`F32`/`Pred` are zero-extended, `I64`/`U64`/`F64` stored as
+//! their 64-bit representation. Registers the kernel never writes hold
+//! the interpreter's `Value::I32(0)`; a zero bit row reproduces that under
+//! any static type because zero is a fixed point of every conversion in
+//! the table.
 //!
 //! # Warp-uniform fast paths
 //!
-//! A divergence analysis in the style of kverify's `DivPart` domain runs
-//! at compile time: a register is *uniform* (provably equal across the
-//! lanes executing together) unless it is derived from a per-lane special
-//! register (`tid.x`, `tid.y`, `%linear`), from a value-returning atomic,
-//! from another divergent register, or defined under control dependence
-//! of a branch with a divergent condition (control dependences come from
-//! the shared [`crate::verify`] postdominator machinery; the analysis
-//! iterates to a fixpoint). A run whose instructions read only uniform
-//! registers (and contain no per-lane special reads and no atomics — M
-//! serialized atomic applications are not one application) executes
-//! **once** on the group's first lane and broadcasts register writes:
-//! loads issue one bounds-checked access instead of 32, and stores write
-//! one identical value instead of 32. The cost model sees identical
-//! counts by construction — M identical accesses occupy exactly the
-//! segments/banks of one — and the sanitizer is still fed per-lane.
-//!
-//! # Typed fast mode
-//!
-//! On top of the pre-decoded runs, [`CompiledKernel::specialize`] tries
-//! to assign every virtual register a single static [`Ty`] (a
-//! flow-insensitive merge over all of its definitions; `Mov`/`Select`
-//! propagate to a fixpoint). When that succeeds, the block's registers
-//! become raw `u64` *bit rows* — `I32`/`F32`/`Pred` zero-extended,
-//! `I64`/`U64`/`F64` as their 64-bit representation — and every
-//! instruction is lowered to a [`TOp`] whose operand conversions
-//! ([`Conv`]) are resolved at compile time to mirror [`Value::convert`]
-//! / `as_u64` / `as_i64` / `as_bool` *exactly*, immediates are
-//! pre-converted into broadcast constant rows, and the `(op, ty)`
-//! dispatch is hoisted out of the lane loops. Registers the kernel
-//! never writes hold the interpreter's `Value::I32(0)`; a zero bit row
-//! reproduces that under any static type because zero is a fixed point
-//! of every conversion in the table. Kernels that reuse one register at
-//! several types fall back to the generic [`Value`]-based tier below —
-//! same results, slower.
+//! A divergence analysis runs at compile time: a register is *uniform*
+//! (provably equal across the lanes executing together) unless it is
+//! derived from a per-lane special register (`tid.x`, `tid.y`,
+//! `%linear`), from a value-returning atomic, from another divergent
+//! register, or defined under control dependence of a branch with a
+//! divergent condition (control dependences come from `gpsim::cfg`; the
+//! analysis iterates to a fixpoint). A load from a uniform address is
+//! uniform: the lanes of one group read it at the same step. A run whose
+//! instructions read only uniform registers (and contain no per-lane
+//! special reads and no atomics — M serialized atomic applications are
+//! not one application) executes **once** on the group's first lane and
+//! broadcasts register writes: loads issue one bounds-checked access
+//! instead of 32, and stores write one identical value instead of 32. The
+//! cost model sees identical counts by construction — M identical
+//! accesses occupy exactly the segments/banks of one — and the sanitizer
+//! is still fed per-lane.
 //!
 //! # Tier selection
 //!
-//! [`CompiledKernel::compile`] returns `None` for the degenerate shapes
-//! the tier does not model (empty kernels, kernels that can fall or
-//! branch past the end of the instruction stream); the launch path then
-//! uses the interpreter regardless of the configured
+//! `compile` returns `None` for the shapes the tier does not model: empty
+//! kernels, kernels that can fall or branch past the end of the
+//! instruction stream, and kernels that write one register at two types
+//! (or `Select` between arms of two types). The launch path then runs the
+//! reference interpreter regardless of the configured
 //! [`crate::cost::ExecTier`].
 
+use crate::cfg::{control_deps, postdominators, Cfg};
 use crate::error::SimError;
-use crate::exec::{alu_cost, eval_bin, eval_cmp, eval_un, mref_addr, BlockExec, MemView};
+use crate::exec::{alu_cost, mref_addr, BlockExec, MemView};
 use crate::ir::{AtomOp, BinOp, CmpOp, Inst, Kernel, MemRef, Operand, SpecialReg, UnOp};
 use crate::memory::AccessAbort;
 use crate::profile::PcCounters;
 use crate::sanitizer::AccessKind;
 use crate::trace::{MemTouch, TraceEvent, TraceSpace};
 use crate::types::{Ty, Value};
-use crate::verify;
+use std::ops::Range;
 
-/// A pre-decoded operand: register index or immediate.
-#[derive(Debug, Clone, Copy)]
-enum COpnd {
-    Reg(usize),
-    Imm(Value),
-}
-
-/// A pre-decoded memory reference: operand, index register, scale and
-/// displacement already widened, access size already resolved.
-#[derive(Debug, Clone, Copy)]
-struct CMem {
-    base: COpnd,
-    index: Option<usize>,
-    scale: i64,
-    disp: i64,
-    size: usize,
-}
-
-/// One pre-decoded instruction: branch labels resolved to instruction
-/// indices, registers widened to array indices, SFU/FP64 surcharges
-/// pre-classified.
-#[derive(Debug, Clone)]
-enum COp {
-    MovImm {
-        dst: usize,
-        value: Value,
-    },
-    Mov {
-        dst: usize,
-        src: usize,
-    },
-    ReadSpecial {
-        dst: usize,
-        sr: SpecialReg,
-    },
-    ReadParam {
-        dst: usize,
-        idx: usize,
-    },
-    Bin {
-        op: BinOp,
-        ty: Ty,
-        dst: usize,
-        a: COpnd,
-        b: COpnd,
-        sfu: bool,
-    },
-    Cmp {
-        op: CmpOp,
-        ty: Ty,
-        dst: usize,
-        a: COpnd,
-        b: COpnd,
-    },
-    Un {
-        op: UnOp,
-        ty: Ty,
-        dst: usize,
-        a: COpnd,
-        sfu: bool,
-    },
-    Select {
-        dst: usize,
-        cond: usize,
-        a: COpnd,
-        b: COpnd,
-    },
-    Cvt {
-        dst: usize,
-        ty: Ty,
-        src: COpnd,
-    },
-    LdGlobal {
-        ty: Ty,
-        dst: usize,
-        mem: CMem,
-    },
-    StGlobal {
-        ty: Ty,
-        src: COpnd,
-        mem: CMem,
-    },
-    LdShared {
-        ty: Ty,
-        dst: usize,
-        mem: CMem,
-    },
-    StShared {
-        ty: Ty,
-        src: COpnd,
-        mem: CMem,
-    },
-    AtomGlobal {
-        op: AtomOp,
-        ty: Ty,
-        mem: CMem,
-        src: COpnd,
-        dst: Option<usize>,
-    },
-    Bar,
-    Bra {
-        target: usize,
-        cond: Option<(usize, bool)>,
-    },
-    Ret,
-}
-
-/// A maximal straight-line span `[start, end)`; `end - 1` is a
-/// terminator (`Bra`/`Ret`/`Bar`) or falls through to the leader at
-/// `end`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    start: usize,
-    end: usize,
-}
-
-/// A kernel pre-decoded for the compiled execution tier. Compile once per
+/// A kernel lowered for the compiled execution tier. Compile once per
 /// launch ([`crate::exec::run_kernel_instrumented`]) and share across all
 /// blocks and host worker threads.
 #[derive(Debug)]
 pub struct CompiledKernel {
+    tops: Vec<TOp>,
+    /// Register rows, then `consts.len()` broadcast constant rows.
     num_regs: usize,
-    ops: Vec<COp>,
-    runs: Vec<Run>,
+    /// Bits of each constant row (pre-converted immediates).
+    consts: Vec<u64>,
+    /// Maximal straight-line spans; `end - 1` is a terminator
+    /// (`Bra`/`Ret`/`Bar`) or falls through to the leader at `end`.
+    runs: Vec<Range<usize>>,
     /// `run_of[pc]` = index of the run containing `pc`.
     run_of: Vec<usize>,
     /// Per-run warp-uniform flag (see module docs).
     run_uniform: Vec<bool>,
     /// Per-register uniformity verdict (exposed via [`Self::describe`]).
     uniform_regs: Vec<bool>,
-    /// Statically-typed lowering (see module docs); built per launch by
-    /// [`Self::specialize`] because parameter types feed the inference.
-    typed: Option<TypedPlan>,
 }
 
 impl CompiledKernel {
-    /// Pre-decode `kernel`. Returns `None` for shapes the tier does not
-    /// model (empty kernels, kernels whose control flow can leave the
-    /// instruction stream) — the launch path falls back to the
-    /// interpreter, preserving its behavior exactly.
-    pub fn compile(kernel: &Kernel) -> Option<CompiledKernel> {
+    /// Lower `kernel` for one launch with `params` (parameter types feed
+    /// the register type inference). Returns `None` for shapes the tier
+    /// does not model (see module docs) — the launch path then
+    /// interprets, preserving the interpreter's behavior exactly.
+    pub fn compile(kernel: &Kernel, params: &[Value]) -> Option<CompiledKernel> {
         let n = kernel.insts.len();
         if n == 0 {
             return None;
@@ -245,80 +131,59 @@ impl CompiledKernel {
             Inst::Ret | Inst::Bra { cond: None, .. } => {}
             _ => return None,
         }
-        // Resolve every branch target up front; a target of n (one past
-        // the end — the builder permits labels placed after the final
-        // `ret`) is likewise left to the interpreter.
-        let resolve = |l: crate::ir::Label| -> Option<usize> {
-            let t = *kernel.label_targets.get(l.0 as usize)?;
-            (t < n).then_some(t)
+        // A branch target of n (one past the end — the builder permits
+        // labels placed after the final `ret`) is likewise left to the
+        // interpreter.
+        let in_stream = |inst: &Inst| match inst {
+            Inst::Bra { target, .. } => kernel
+                .label_targets
+                .get(target.0 as usize)
+                .is_some_and(|&t| t < n),
+            _ => true,
         };
-
-        let mut ops = Vec::with_capacity(n);
-        for inst in &kernel.insts {
-            ops.push(decode(inst, &resolve)?);
+        if !kernel.insts.iter().all(in_stream) {
+            return None;
         }
 
-        // Leaders: 0, branch targets, and the instruction after every
-        // Bra/Ret/Bar (lanes rest one past a barrier while waiting).
-        let mut leader = vec![false; n];
-        leader[0] = true;
-        for (pc, op) in ops.iter().enumerate() {
-            match op {
-                COp::Bra { target, .. } => {
-                    leader[*target] = true;
-                    if pc + 1 < n {
-                        leader[pc + 1] = true;
-                    }
-                }
-                COp::Ret | COp::Bar if pc + 1 < n => leader[pc + 1] = true,
-                _ => {}
-            }
-        }
-        let starts: Vec<usize> = (0..n).filter(|&i| leader[i]).collect();
-        let runs: Vec<Run> = starts
+        let mut lo = Lower {
+            rt: infer_reg_types(kernel, params)?,
+            num_regs: kernel.num_regs as usize,
+            consts: Vec::new(),
+        };
+        let tops = kernel
+            .insts
             .iter()
-            .enumerate()
-            .map(|(i, &s)| Run {
-                start: s,
-                end: starts.get(i + 1).copied().unwrap_or(n),
-            })
+            .map(|inst| lo.lower(kernel, inst, params))
             .collect();
+
+        let cfg = Cfg::build(kernel);
+        let runs = cfg.runs(kernel);
         let mut run_of = vec![0usize; n];
         for (ri, r) in runs.iter().enumerate() {
-            for slot in &mut run_of[r.start..r.end] {
-                *slot = ri;
-            }
+            run_of[r.clone()].fill(ri);
         }
-
-        let uniform_regs = uniform_registers(kernel);
-        let run_uniform: Vec<bool> = runs
+        let uniform_regs = uniform_registers(kernel, &cfg);
+        let run_uniform = runs
             .iter()
             .map(|r| {
-                kernel.insts[r.start..r.end]
+                kernel.insts[r.clone()]
                     .iter()
                     .all(|inst| inst_uniform(inst, &uniform_regs))
             })
             .collect();
 
         Some(CompiledKernel {
-            num_regs: kernel.num_regs as usize,
-            ops,
+            tops,
+            num_regs: lo.num_regs,
+            consts: lo.consts,
             runs,
             run_of,
             run_uniform,
             uniform_regs,
-            typed: None,
         })
     }
 
-    /// Attempt the statically-typed lowering for a concrete parameter
-    /// list (parameter types feed the register type inference). Called
-    /// once per launch; on failure the generic tier runs.
-    pub(crate) fn specialize(&mut self, params: &[Value]) {
-        self.typed = TypedPlan::build(&self.ops, self.num_regs, params);
-    }
-
-    /// Textual dump of the pre-decoded form (run boundaries, terminators,
+    /// Textual dump of the compiled form (run boundaries, terminators,
     /// uniformity verdicts) for golden tests and debugging.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
@@ -330,14 +195,14 @@ impl CompiledKernel {
             self.runs.len()
         );
         for (i, r) in self.runs.iter().enumerate() {
-            let term = match &self.ops[r.end - 1] {
-                COp::Bra {
+            let term = match &self.tops[r.end - 1] {
+                TOp::Bra {
                     target,
                     cond: Some(_),
                 } => format!("bra.cond -> {target} | {}", r.end),
-                COp::Bra { target, cond: None } => format!("bra -> {target}"),
-                COp::Ret => "ret".to_string(),
-                COp::Bar => format!("bar -> {}", r.end),
+                TOp::Bra { target, cond: None } => format!("bra -> {target}"),
+                TOp::Ret => "ret".to_string(),
+                TOp::Bar => format!("bar -> {}", r.end),
                 _ => format!("fallthrough -> {}", r.end),
             };
             let _ = writeln!(
@@ -364,110 +229,6 @@ impl CompiledKernel {
     }
 }
 
-fn decode(inst: &Inst, resolve: &dyn Fn(crate::ir::Label) -> Option<usize>) -> Option<COp> {
-    let opnd = |o: &Operand| match o {
-        Operand::Reg(r) => COpnd::Reg(r.0 as usize),
-        Operand::Imm(v) => COpnd::Imm(*v),
-    };
-    let cmem = |m: &MemRef, ty: Ty| CMem {
-        base: opnd(&m.base),
-        index: m.index.map(|r| r.0 as usize),
-        scale: m.scale as i64,
-        disp: m.disp,
-        size: ty.size(),
-    };
-    Some(match inst {
-        Inst::MovImm { dst, value } => COp::MovImm {
-            dst: dst.0 as usize,
-            value: *value,
-        },
-        Inst::Mov { dst, src } => COp::Mov {
-            dst: dst.0 as usize,
-            src: src.0 as usize,
-        },
-        Inst::ReadSpecial { dst, sr } => COp::ReadSpecial {
-            dst: dst.0 as usize,
-            sr: *sr,
-        },
-        Inst::ReadParam { dst, idx } => COp::ReadParam {
-            dst: dst.0 as usize,
-            idx: *idx as usize,
-        },
-        Inst::Bin { op, ty, dst, a, b } => COp::Bin {
-            op: *op,
-            ty: *ty,
-            dst: dst.0 as usize,
-            a: opnd(a),
-            b: opnd(b),
-            sfu: matches!(op, BinOp::Div | BinOp::Rem),
-        },
-        Inst::Cmp { op, ty, dst, a, b } => COp::Cmp {
-            op: *op,
-            ty: *ty,
-            dst: dst.0 as usize,
-            a: opnd(a),
-            b: opnd(b),
-        },
-        Inst::Un { op, ty, dst, a } => COp::Un {
-            op: *op,
-            ty: *ty,
-            dst: dst.0 as usize,
-            a: opnd(a),
-            sfu: matches!(op, UnOp::Sqrt),
-        },
-        Inst::Select { dst, cond, a, b } => COp::Select {
-            dst: dst.0 as usize,
-            cond: cond.0 as usize,
-            a: opnd(a),
-            b: opnd(b),
-        },
-        Inst::Cvt { dst, ty, src } => COp::Cvt {
-            dst: dst.0 as usize,
-            ty: *ty,
-            src: opnd(src),
-        },
-        Inst::LdGlobal { ty, dst, mref } => COp::LdGlobal {
-            ty: *ty,
-            dst: dst.0 as usize,
-            mem: cmem(mref, *ty),
-        },
-        Inst::StGlobal { ty, src, mref } => COp::StGlobal {
-            ty: *ty,
-            src: opnd(src),
-            mem: cmem(mref, *ty),
-        },
-        Inst::LdShared { ty, dst, mref } => COp::LdShared {
-            ty: *ty,
-            dst: dst.0 as usize,
-            mem: cmem(mref, *ty),
-        },
-        Inst::StShared { ty, src, mref } => COp::StShared {
-            ty: *ty,
-            src: opnd(src),
-            mem: cmem(mref, *ty),
-        },
-        Inst::AtomGlobal {
-            op,
-            ty,
-            mref,
-            src,
-            dst,
-        } => COp::AtomGlobal {
-            op: *op,
-            ty: *ty,
-            mem: cmem(mref, *ty),
-            src: opnd(src),
-            dst: dst.map(|r| r.0 as usize),
-        },
-        Inst::Bar => COp::Bar,
-        Inst::Bra { target, cond } => COp::Bra {
-            target: resolve(*target)?,
-            cond: cond.map(|(r, e)| (r.0 as usize, e)),
-        },
-        Inst::Ret => COp::Ret,
-    })
-}
-
 /// Per-lane special registers: different lanes of one warp read different
 /// values. (`tid.z` is always 0; block/grid geometry is warp-invariant.)
 fn divergent_special(sr: SpecialReg) -> bool {
@@ -478,10 +239,9 @@ fn divergent_special(sr: SpecialReg) -> bool {
 }
 
 /// Fixpoint divergence analysis over registers (see module docs).
-fn uniform_registers(kernel: &Kernel) -> Vec<bool> {
-    let cfg = verify::Cfg::build(kernel);
-    let pdom = verify::postdominators(&cfg);
-    let cdeps = verify::control_deps(&cfg, &pdom);
+fn uniform_registers(kernel: &Kernel, cfg: &Cfg) -> Vec<bool> {
+    let pdom = postdominators(cfg);
+    let cdeps = control_deps(cfg, &pdom);
     let mut uniform = vec![true; kernel.num_regs as usize];
     loop {
         let mut changed = false;
@@ -493,7 +253,10 @@ fn uniform_registers(kernel: &Kernel) -> Vec<bool> {
             }
             // Divergent sources: per-lane specials, value-returning
             // atomics (the returned "old" depends on lane serialization
-            // order), any divergent input register.
+            // order), any divergent input register. Loads are not: the
+            // lanes of one group read a uniform address at the same step
+            // (kverify, which reasons block-wide, must treat every load as
+            // divergent; DESIGN.md §16).
             let mut div = match inst {
                 Inst::ReadSpecial { sr, .. } => divergent_special(*sr),
                 Inst::AtomGlobal { .. } => true,
@@ -538,7 +301,7 @@ fn inst_uniform(inst: &Inst, uniform: &[bool]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Typed fast mode: static register types over raw bit rows
+// Typed lowering: static register types over raw bit rows
 // ---------------------------------------------------------------------------
 
 /// Bit encoding of a [`Value`] in a typed register row: `I32`/`F32`/
@@ -805,48 +568,27 @@ enum TOp {
     Ret,
 }
 
-/// The statically-typed lowering of a kernel for one launch.
-#[derive(Debug)]
-struct TypedPlan {
-    tops: Vec<TOp>,
-    /// Register rows, then `consts.len()` broadcast constant rows.
-    num_regs: usize,
-    /// Bits of each constant row (pre-converted immediates).
-    consts: Vec<u64>,
-}
-
 /// Flow-insensitive register type inference: every definition of a
 /// register must produce one type (`Mov`/`Select` propagate their
 /// source types to a fixpoint; never-written registers keep the
 /// interpreter's `I32` zero). Returns `None` when a register is written
-/// at two types — the kernel falls back to the generic tier.
-fn infer_reg_types(ops: &[COp], num_regs: usize, params: &[Value]) -> Option<Vec<Ty>> {
-    let opnd_ty = |tys: &[Option<Ty>], o: &COpnd| match o {
-        COpnd::Reg(r) => tys[*r],
-        COpnd::Imm(v) => Some(v.ty()),
+/// at two types — the launch then interprets.
+fn infer_reg_types(kernel: &Kernel, params: &[Value]) -> Option<Vec<Ty>> {
+    let num_regs = kernel.num_regs as usize;
+    let opnd_ty = |tys: &[Option<Ty>], o: &Operand| match o {
+        Operand::Reg(r) => tys[r.0 as usize],
+        Operand::Imm(v) => Some(v.ty()),
     };
     let mut defined = vec![false; num_regs];
-    for op in ops {
-        match op {
-            COp::MovImm { dst, .. }
-            | COp::Mov { dst, .. }
-            | COp::ReadSpecial { dst, .. }
-            | COp::ReadParam { dst, .. }
-            | COp::Bin { dst, .. }
-            | COp::Cmp { dst, .. }
-            | COp::Un { dst, .. }
-            | COp::Select { dst, .. }
-            | COp::Cvt { dst, .. }
-            | COp::LdGlobal { dst, .. }
-            | COp::LdShared { dst, .. } => defined[*dst] = true,
-            COp::AtomGlobal { dst: Some(d), .. } => defined[*d] = true,
-            _ => {}
+    for inst in &kernel.insts {
+        if let Some(d) = inst.def() {
+            defined[d.0 as usize] = true;
         }
     }
     let mut tys: Vec<Option<Ty>> = (0..num_regs)
         .map(|r| (!defined[r]).then_some(Ty::I32))
         .collect();
-    // Fixpoint: each pass resolves defs whose inputs are known; `set`
+    // Fixpoint: each pass resolves defs whose inputs are known; a def
     // fails on a two-type register. The final validation pass re-checks
     // every def against the defaulted assignment so unresolved cycles
     // (only ever holding initial zeros) stay consistent.
@@ -858,39 +600,35 @@ fn infer_reg_types(ops: &[COp], num_regs: usize, params: &[Value]) -> Option<Vec
         }
         loop {
             let mut changed = false;
-            for op in ops {
-                let (d, t) = match op {
-                    COp::MovImm { dst, value } => (*dst, Some(value.ty())),
-                    COp::Mov { dst, src } => (*dst, tys[*src]),
-                    COp::ReadSpecial { dst, .. } => (*dst, Some(Ty::I32)),
-                    COp::ReadParam { dst, idx } => {
-                        (*dst, Some(params.get(*idx).map_or(Ty::I32, |v| v.ty())))
+            for inst in &kernel.insts {
+                let Some(d) = inst.def() else { continue };
+                let t = match inst {
+                    Inst::MovImm { value, .. } => Some(value.ty()),
+                    Inst::Mov { src, .. } => tys[src.0 as usize],
+                    Inst::ReadSpecial { .. } => Some(Ty::I32),
+                    Inst::ReadParam { idx, .. } => {
+                        Some(params.get(*idx as usize).map_or(Ty::I32, |v| v.ty()))
                     }
-                    COp::Bin { ty, dst, .. }
-                    | COp::Un { ty, dst, .. }
-                    | COp::Cvt { dst, ty, .. } => (*dst, Some(*ty)),
-                    COp::Cmp { dst, .. } => (*dst, Some(Ty::Pred)),
-                    COp::Select { dst, a, b, .. } => {
-                        match (opnd_ty(&tys, a), opnd_ty(&tys, b)) {
-                            (Some(x), Some(y)) if x == y => (*dst, Some(x)),
-                            // A select whose arms carry two types passes
-                            // values through unconverted: not typeable.
-                            (Some(_), Some(_)) => return None,
-                            _ => (*dst, None),
-                        }
-                    }
-                    COp::LdGlobal { ty, dst, .. } | COp::LdShared { ty, dst, .. } => {
-                        (*dst, Some(*ty))
-                    }
-                    COp::AtomGlobal {
-                        ty, dst: Some(d), ..
-                    } => (*d, Some(*ty)),
+                    Inst::Bin { ty, .. }
+                    | Inst::Un { ty, .. }
+                    | Inst::Cvt { ty, .. }
+                    | Inst::LdGlobal { ty, .. }
+                    | Inst::LdShared { ty, .. }
+                    | Inst::AtomGlobal { ty, .. } => Some(*ty),
+                    Inst::Cmp { .. } => Some(Ty::Pred),
+                    Inst::Select { a, b, .. } => match (opnd_ty(&tys, a), opnd_ty(&tys, b)) {
+                        (Some(x), Some(y)) if x == y => Some(x),
+                        // A select whose arms carry two types passes
+                        // values through unconverted: not typeable.
+                        (Some(_), Some(_)) => return None,
+                        _ => None,
+                    },
                     _ => continue,
                 };
                 if let Some(t) = t {
-                    match tys[d] {
+                    match tys[d.0 as usize] {
                         None => {
-                            tys[d] = Some(t);
+                            tys[d.0 as usize] = Some(t);
                             changed = true;
                         }
                         Some(u) if u == t => {}
@@ -928,10 +666,13 @@ impl Lower {
     /// An operand used at type `to`: register rows get the static
     /// conversion, immediates are converted now and become constant
     /// rows (so the lane loops never branch on operand shape).
-    fn row(&mut self, o: &COpnd, to: Option<Ty>) -> (usize, Conv) {
+    fn row(&mut self, o: &Operand, to: Option<Ty>) -> (usize, Conv) {
         match o {
-            COpnd::Reg(r) => (*r, to.map_or(Conv::Id, |t| conv_for(self.rt[*r], t))),
-            COpnd::Imm(v) => {
+            Operand::Reg(r) => {
+                let r = r.0 as usize;
+                (r, to.map_or(Conv::Id, |t| conv_for(self.rt[r], t)))
+            }
+            Operand::Imm(v) => {
                 let v = to.map_or(*v, |t| v.convert(t));
                 (self.row_for(value_bits(v)), Conv::Id)
             }
@@ -939,306 +680,164 @@ impl Lower {
     }
 
     /// Address rows: base as `as_u64`, index as `as_i64` — exactly the
-    /// conversions [`mem_addr`] applies in the generic tier.
-    fn tmem(&mut self, m: &CMem) -> TMem {
+    /// conversions the interpreter's `resolve_mref` applies.
+    fn tmem(&mut self, m: &MemRef, ty: Ty) -> TMem {
         let (base, bc) = self.row(&m.base, Some(Ty::U64));
         TMem {
             base,
             bc,
-            index: m.index.map(|r| (r, conv_for(self.rt[r], Ty::I64))),
-            scale: m.scale,
+            index: m.index.map(|r| {
+                let r = r.0 as usize;
+                (r, conv_for(self.rt[r], Ty::I64))
+            }),
+            scale: m.scale as i64,
             disp: m.disp,
-            size: m.size,
+            size: ty.size(),
         }
     }
-}
 
-impl TypedPlan {
-    fn build(ops: &[COp], num_regs: usize, params: &[Value]) -> Option<TypedPlan> {
-        let rt = infer_reg_types(ops, num_regs, params)?;
-        let mut lo = Lower {
-            rt,
-            num_regs,
-            consts: Vec::new(),
-        };
-        let mut tops = Vec::with_capacity(ops.len());
-        for op in ops {
-            tops.push(match op {
-                COp::MovImm { dst, value } => TOp::Broadcast {
-                    dst: *dst,
-                    bits: value_bits(*value),
+    fn lower(&mut self, kernel: &Kernel, inst: &Inst, params: &[Value]) -> TOp {
+        match inst {
+            Inst::MovImm { dst, value } => TOp::Broadcast {
+                dst: dst.0 as usize,
+                bits: value_bits(*value),
+            },
+            Inst::Mov { dst, src } => TOp::Cvt {
+                dst: dst.0 as usize,
+                src: src.0 as usize,
+                cv: Conv::Id,
+            },
+            Inst::ReadSpecial { dst, sr } => TOp::ReadSpecial {
+                dst: dst.0 as usize,
+                sr: *sr,
+            },
+            Inst::ReadParam { dst, idx } => match params.get(*idx as usize) {
+                Some(v) => TOp::Broadcast {
+                    dst: dst.0 as usize,
+                    bits: value_bits(*v),
                 },
-                COp::Mov { dst, src } => TOp::Cvt {
-                    dst: *dst,
-                    src: *src,
-                    cv: Conv::Id,
-                },
-                COp::ReadSpecial { dst, sr } => TOp::ReadSpecial { dst: *dst, sr: *sr },
-                COp::ReadParam { dst, idx } => match params.get(*idx) {
-                    Some(v) => TOp::Broadcast {
-                        dst: *dst,
-                        bits: value_bits(*v),
-                    },
-                    None => TOp::BadParams,
-                },
-                COp::Bin {
-                    op,
-                    ty,
-                    dst,
+                None => TOp::BadParams,
+            },
+            Inst::Bin { op, ty, dst, a, b } => {
+                let (a, ca) = self.row(a, Some(*ty));
+                let (b, cb) = self.row(b, Some(*ty));
+                TOp::Bin {
+                    op: *op,
+                    ty: *ty,
+                    dst: dst.0 as usize,
                     a,
                     b,
-                    sfu,
-                } => {
-                    let (a, ca) = lo.row(a, Some(*ty));
-                    let (b, cb) = lo.row(b, Some(*ty));
-                    TOp::Bin {
-                        op: *op,
-                        ty: *ty,
-                        dst: *dst,
-                        a,
-                        b,
-                        ca,
-                        cb,
-                        sfu: *sfu,
-                    }
+                    ca,
+                    cb,
+                    sfu: matches!(op, BinOp::Div | BinOp::Rem),
                 }
-                COp::Cmp { op, ty, dst, a, b } => {
-                    let (a, ca) = lo.row(a, Some(*ty));
-                    let (b, cb) = lo.row(b, Some(*ty));
-                    TOp::Cmp {
-                        op: *op,
-                        ty: *ty,
-                        dst: *dst,
-                        a,
-                        b,
-                        ca,
-                        cb,
-                    }
-                }
-                COp::Un {
-                    op,
-                    ty,
-                    dst,
+            }
+            Inst::Cmp { op, ty, dst, a, b } => {
+                let (a, ca) = self.row(a, Some(*ty));
+                let (b, cb) = self.row(b, Some(*ty));
+                TOp::Cmp {
+                    op: *op,
+                    ty: *ty,
+                    dst: dst.0 as usize,
                     a,
-                    sfu,
-                } => {
-                    let (a, ca) = lo.row(a, Some(*ty));
-                    TOp::Un {
-                        op: *op,
-                        ty: *ty,
-                        dst: *dst,
-                        a,
-                        ca,
-                        sfu: *sfu,
-                    }
+                    b,
+                    ca,
+                    cb,
                 }
-                COp::Select { dst, cond, a, b } => {
-                    // Select passes values through unconverted; the
-                    // inference guaranteed both arms are the dst type.
-                    let (a, _) = lo.row(a, None);
-                    let (b, _) = lo.row(b, None);
-                    TOp::Select {
-                        dst: *dst,
-                        cond: *cond,
-                        kind: cond_kind(lo.rt[*cond]),
-                        a,
-                        b,
-                    }
-                }
-                COp::Cvt { dst, ty, src } => match src {
-                    COpnd::Reg(r) => TOp::Cvt {
-                        dst: *dst,
-                        src: *r,
-                        cv: conv_for(lo.rt[*r], *ty),
-                    },
-                    COpnd::Imm(v) => TOp::Broadcast {
-                        dst: *dst,
-                        bits: value_bits(v.convert(*ty)),
-                    },
-                },
-                COp::LdGlobal { ty, dst, mem } => TOp::LdGlobal {
+            }
+            Inst::Un { op, ty, dst, a } => {
+                let (a, ca) = self.row(a, Some(*ty));
+                TOp::Un {
+                    op: *op,
                     ty: *ty,
-                    dst: *dst,
-                    mem: lo.tmem(mem),
-                },
-                COp::StGlobal { ty, src, mem } => {
-                    let (src, sc) = lo.row(src, Some(*ty));
-                    TOp::StGlobal {
-                        ty: *ty,
-                        src,
-                        sc,
-                        mem: lo.tmem(mem),
-                    }
+                    dst: dst.0 as usize,
+                    a,
+                    ca,
+                    sfu: matches!(op, UnOp::Sqrt),
                 }
-                COp::LdShared { ty, dst, mem } => TOp::LdShared {
+            }
+            Inst::Select { dst, cond, a, b } => {
+                // Select passes values through unconverted; the
+                // inference guaranteed both arms are the dst type.
+                let (a, _) = self.row(a, None);
+                let (b, _) = self.row(b, None);
+                TOp::Select {
+                    dst: dst.0 as usize,
+                    cond: cond.0 as usize,
+                    kind: cond_kind(self.rt[cond.0 as usize]),
+                    a,
+                    b,
+                }
+            }
+            Inst::Cvt { dst, ty, src } => match src {
+                Operand::Reg(r) => TOp::Cvt {
+                    dst: dst.0 as usize,
+                    src: r.0 as usize,
+                    cv: conv_for(self.rt[r.0 as usize], *ty),
+                },
+                Operand::Imm(v) => TOp::Broadcast {
+                    dst: dst.0 as usize,
+                    bits: value_bits(v.convert(*ty)),
+                },
+            },
+            Inst::LdGlobal { ty, dst, mref } => TOp::LdGlobal {
+                ty: *ty,
+                dst: dst.0 as usize,
+                mem: self.tmem(mref, *ty),
+            },
+            Inst::StGlobal { ty, src, mref } => {
+                let (src, sc) = self.row(src, Some(*ty));
+                TOp::StGlobal {
                     ty: *ty,
-                    dst: *dst,
-                    mem: lo.tmem(mem),
-                },
-                COp::StShared { ty, src, mem } => {
-                    let (src, sc) = lo.row(src, Some(*ty));
-                    TOp::StShared {
-                        ty: *ty,
-                        src,
-                        sc,
-                        mem: lo.tmem(mem),
-                    }
-                }
-                COp::AtomGlobal {
-                    op,
-                    ty,
-                    mem,
                     src,
-                    dst,
-                } => {
-                    let (src, sc) = lo.row(src, Some(*ty));
-                    TOp::AtomGlobal {
-                        op: *op,
-                        ty: *ty,
-                        mem: lo.tmem(mem),
-                        src,
-                        sc,
-                        dst: *dst,
-                    }
+                    sc,
+                    mem: self.tmem(mref, *ty),
                 }
-                COp::Bar => TOp::Bar,
-                COp::Bra { target, cond } => TOp::Bra {
-                    target: *target,
-                    cond: cond.map(|(r, e)| (r, cond_kind(lo.rt[r]), e)),
-                },
-                COp::Ret => TOp::Ret,
-            });
+            }
+            Inst::LdShared { ty, dst, mref } => TOp::LdShared {
+                ty: *ty,
+                dst: dst.0 as usize,
+                mem: self.tmem(mref, *ty),
+            },
+            Inst::StShared { ty, src, mref } => {
+                let (src, sc) = self.row(src, Some(*ty));
+                TOp::StShared {
+                    ty: *ty,
+                    src,
+                    sc,
+                    mem: self.tmem(mref, *ty),
+                }
+            }
+            Inst::AtomGlobal {
+                op,
+                ty,
+                mref,
+                src,
+                dst,
+            } => {
+                let (src, sc) = self.row(src, Some(*ty));
+                TOp::AtomGlobal {
+                    op: *op,
+                    ty: *ty,
+                    mem: self.tmem(mref, *ty),
+                    src,
+                    sc,
+                    dst: dst.map(|r| r.0 as usize),
+                }
+            }
+            Inst::Bar => TOp::Bar,
+            Inst::Bra { target, cond } => TOp::Bra {
+                target: kernel.target(*target),
+                cond: cond.map(|(r, e)| (r.0 as usize, cond_kind(self.rt[r.0 as usize]), e)),
+            },
+            Inst::Ret => TOp::Ret,
         }
-        Some(TypedPlan {
-            tops,
-            num_regs,
-            consts: lo.consts,
-        })
     }
 }
 
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
-
-/// Per-block mutable state owned by the compiled tier: the SoA register
-/// file plus reusable scratch buffers (the interpreter allocates fresh
-/// containers for these on every warp-step).
-struct BlockState {
-    /// `regs[reg * n + lane]`.
-    regs: Vec<Value>,
-    n: usize,
-    /// Active lanes of the current group (constant across a run).
-    mask: Vec<usize>,
-    /// Segment/word index scratch for the coalescing model.
-    seg_buf: Vec<u64>,
-    /// Per-bank occupancy scratch for the conflict model.
-    bank_counts: Vec<u32>,
-}
-
-/// Control disposition of one executed instruction.
-enum Flow {
-    /// Fall through to the next instruction of the run.
-    Next,
-    /// Terminator executed (PCs already updated); the run is over.
-    Stop,
-}
-
-/// Run one block through the compiled tier. Drives the same
-/// [`BlockExec`] the interpreter uses — barrier bookkeeping, watchdog,
-/// overlap folding, traces, sanitizer shadows, and profiles are shared
-/// code, not re-implementations.
-pub(crate) fn run_block(ck: &CompiledKernel, exec: &mut BlockExec) -> Result<(), AccessAbort> {
-    if let Some(plan) = &ck.typed {
-        return run_block_typed(ck, plan, exec);
-    }
-    let warp = exec.dev.warp_size as usize;
-    let n = exec.threads.len();
-    let num_warps = n.div_ceil(warp);
-    let mut st = BlockState {
-        regs: vec![Value::I32(0); ck.num_regs * n],
-        n,
-        mask: Vec::with_capacity(warp),
-        seg_buf: Vec::with_capacity(2 * warp),
-        bank_counts: vec![0; exec.dev.shared_banks as usize],
-    };
-    loop {
-        for w in 0..num_warps {
-            let lo = w * warp;
-            let hi = ((w + 1) * warp).min(n);
-            let warp_id = w as u32;
-            loop {
-                // Min leader among runnable lanes; the group is every
-                // runnable lane resting there.
-                let mut min_pc = usize::MAX;
-                for l in lo..hi {
-                    let t = &exec.threads[l];
-                    if t.runnable() && t.pc < min_pc {
-                        min_pc = t.pc;
-                    }
-                }
-                if min_pc == usize::MAX {
-                    break; // warp fully blocked or exited
-                }
-                st.mask.clear();
-                for l in lo..hi {
-                    let t = &exec.threads[l];
-                    if t.runnable() && t.pc == min_pc {
-                        st.mask.push(l);
-                    }
-                }
-                run_group(ck, exec, &mut st, warp_id, min_pc)?;
-            }
-        }
-        if !exec.barrier_round()? {
-            break;
-        }
-    }
-    exec.finish_block(num_warps);
-    Ok(())
-}
-
-/// Execute one full run for the current group (constant mask; see module
-/// docs for why this is exact).
-fn run_group(
-    ck: &CompiledKernel,
-    exec: &mut BlockExec,
-    st: &mut BlockState,
-    warp_id: u32,
-    leader: usize,
-) -> Result<(), AccessAbort> {
-    let ri = ck.run_of[leader];
-    let run = ck.runs[ri];
-    debug_assert_eq!(run.start, leader, "groups rest only at leaders");
-    let uniform = ck.run_uniform[ri];
-    for pc in run.start..run.end {
-        let flow = exec_op(ck, exec, st, warp_id, pc, uniform)?;
-        exec.watchdog()?;
-        if let Flow::Stop = flow {
-            return Ok(());
-        }
-    }
-    // Fallthrough into the next run: lanes rest at its leader.
-    for &l in &st.mask {
-        exec.threads[l].pc = run.end;
-    }
-    Ok(())
-}
-
-#[inline]
-fn opnd(regs: &[Value], n: usize, o: COpnd, lane: usize) -> Value {
-    match o {
-        COpnd::Reg(r) => regs[r * n + lane],
-        COpnd::Imm(v) => v,
-    }
-}
-
-#[inline]
-fn mem_addr(regs: &[Value], n: usize, mem: &CMem, lane: usize) -> u64 {
-    let base = opnd(regs, n, mem.base, lane).as_u64();
-    let idx = mem.index.map_or(0, |r| regs[r * n + lane].as_i64());
-    mref_addr(base, idx, mem.scale, mem.disp)
-}
 
 /// Allocation-free twin of [`crate::coalesce::global_transactions`].
 /// Monotonically non-decreasing segment sequences (every coalesced or
@@ -1406,468 +1005,6 @@ fn observe_mem_uniform(
     }
 }
 
-/// Execute one pre-decoded instruction for the current group. A faithful
-/// port of the interpreter's `step` — same instrumentation in the same
-/// order, same error points — over the SoA register file, with a
-/// one-lane-and-broadcast path for uniform runs.
-fn exec_op(
-    ck: &CompiledKernel,
-    exec: &mut BlockExec,
-    st: &mut BlockState,
-    warp_id: u32,
-    pc: usize,
-    uniform: bool,
-) -> Result<Flow, AccessAbort> {
-    let mlen = st.mask.len();
-    debug_assert!(mlen > 0);
-    let recorded = match exec.trace.as_mut() {
-        Some(t) => t.record(TraceEvent {
-            block: exec.block_idx,
-            warp: warp_id,
-            pc,
-            active: mlen as u32,
-            text: crate::ir::format_inst(&exec.kernel.insts[pc]),
-            mem: None,
-        }),
-        None => false,
-    };
-    exec.stats.warp_insts += 1;
-    exec.stats.lane_insts += mlen as u64;
-    let mut d = PcCounters {
-        warp_insts: 1,
-        lane_insts: mlen as u64,
-        issue_cycles: exec.cost.issue,
-        ..PcCounters::default()
-    };
-    let n = st.n;
-    let l0 = st.mask[0];
-    let mut flow = Flow::Next;
-    match &ck.ops[pc] {
-        COp::MovImm { dst, value } => {
-            for &l in &st.mask {
-                st.regs[dst * n + l] = *value;
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::Mov { dst, src } => {
-            if uniform {
-                let v = st.regs[src * n + l0];
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let v = st.regs[src * n + l];
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::ReadSpecial { dst, sr } => {
-            if uniform {
-                let v = exec.special(l0, *sr);
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let v = exec.special(l, *sr);
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::ReadParam { dst, idx } => {
-            let v = *exec.params.get(*idx).ok_or(SimError::BadParams {
-                expected: exec.kernel.num_params,
-                got: exec.params.len() as u32,
-            })?;
-            for &l in &st.mask {
-                st.regs[dst * n + l] = v;
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::Bin {
-            op,
-            ty,
-            dst,
-            a,
-            b,
-            sfu,
-        } => {
-            if uniform {
-                let r = eval_bin(
-                    *op,
-                    *ty,
-                    opnd(&st.regs, n, *a, l0),
-                    opnd(&st.regs, n, *b, l0),
-                )?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = r;
-                }
-            } else {
-                for &l in &st.mask {
-                    let av = opnd(&st.regs, n, *a, l);
-                    let bv = opnd(&st.regs, n, *b, l);
-                    st.regs[dst * n + l] = eval_bin(*op, *ty, av, bv)?;
-                }
-            }
-            d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
-        }
-        COp::Cmp { op, ty, dst, a, b } => {
-            if uniform {
-                let av = opnd(&st.regs, n, *a, l0).convert(*ty);
-                let bv = opnd(&st.regs, n, *b, l0).convert(*ty);
-                let r = Value::Pred(eval_cmp(*op, *ty, av, bv));
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = r;
-                }
-            } else {
-                for &l in &st.mask {
-                    let av = opnd(&st.regs, n, *a, l).convert(*ty);
-                    let bv = opnd(&st.regs, n, *b, l).convert(*ty);
-                    st.regs[dst * n + l] = Value::Pred(eval_cmp(*op, *ty, av, bv));
-                }
-            }
-            d.alu_cycles = alu_cost(exec.cost, *ty, false);
-        }
-        COp::Un {
-            op,
-            ty,
-            dst,
-            a,
-            sfu,
-        } => {
-            if uniform {
-                let r = eval_un(*op, *ty, opnd(&st.regs, n, *a, l0))?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = r;
-                }
-            } else {
-                for &l in &st.mask {
-                    let av = opnd(&st.regs, n, *a, l);
-                    st.regs[dst * n + l] = eval_un(*op, *ty, av)?;
-                }
-            }
-            d.alu_cycles = alu_cost(exec.cost, *ty, *sfu);
-        }
-        COp::Select { dst, cond, a, b } => {
-            if uniform {
-                let c = st.regs[cond * n + l0].as_bool();
-                let v = if c {
-                    opnd(&st.regs, n, *a, l0)
-                } else {
-                    opnd(&st.regs, n, *b, l0)
-                };
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let c = st.regs[cond * n + l].as_bool();
-                    let v = if c {
-                        opnd(&st.regs, n, *a, l)
-                    } else {
-                        opnd(&st.regs, n, *b, l)
-                    };
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::Cvt { dst, ty, src } => {
-            if uniform {
-                let v = opnd(&st.regs, n, *src, l0).convert(*ty);
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                for &l in &st.mask {
-                    let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                    st.regs[dst * n + l] = v;
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-        }
-        COp::LdGlobal { ty, dst, mem } => {
-            let tx;
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                tx = transactions(&[(a, mem.size)], exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                let v = exec.view.read(*ty, a)?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = exec.view.read(*ty, exec.scratch_addr[i].0)?;
-                    st.regs[dst * n + l] = v;
-                }
-                exec.observe_mem(
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
-            }
-        }
-        COp::StGlobal { ty, src, mem } => {
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                let tx = transactions(&[(a, mem.size)], exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                let v = opnd(&st.regs, n, *src, l0).convert(*ty);
-                // M identical writes to one address are one write.
-                exec.view.write(a, v)?;
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                let tx = transactions(&exec.scratch_addr, exec.dev.segment_bytes, &mut st.seg_buf);
-                charge_global(exec, &mut d, tx);
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                    exec.view.write(exec.scratch_addr[i].0, v)?;
-                }
-                exec.observe_mem(
-                    TraceSpace::Global,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
-            }
-        }
-        COp::LdShared { ty, dst, mem } => {
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                let ways = conflict_ways(
-                    &[(a, mem.size)],
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                // Observation precedes the access, as in the interpreter
-                // (the sanitizer sees even out-of-bounds shared reads).
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-                let v = exec.shared.read(*ty, a)?;
-                for &l in &st.mask {
-                    st.regs[dst * n + l] = v;
-                }
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                let ways = conflict_ways(
-                    &exec.scratch_addr,
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                exec.observe_mem(
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Read,
-                    recorded,
-                );
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = exec.shared.read(*ty, exec.scratch_addr[i].0)?;
-                    st.regs[dst * n + l] = v;
-                }
-            }
-        }
-        COp::StShared { ty, src, mem } => {
-            if uniform {
-                let a = mem_addr(&st.regs, n, mem, l0);
-                let ways = conflict_ways(
-                    &[(a, mem.size)],
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                let v = opnd(&st.regs, n, *src, l0).convert(*ty);
-                exec.shared.write(a, v)?;
-                observe_mem_uniform(
-                    exec,
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                    a,
-                    mem.size,
-                );
-            } else {
-                exec.scratch_addr.clear();
-                for &l in &st.mask {
-                    exec.scratch_addr
-                        .push((mem_addr(&st.regs, n, mem, l), mem.size));
-                }
-                let ways = conflict_ways(
-                    &exec.scratch_addr,
-                    exec.dev.shared_banks,
-                    &mut st.seg_buf,
-                    &mut st.bank_counts,
-                );
-                charge_shared(exec, &mut d, ways);
-                for (i, &l) in st.mask.iter().enumerate() {
-                    let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                    exec.shared.write(exec.scratch_addr[i].0, v)?;
-                }
-                exec.observe_mem(
-                    TraceSpace::Shared,
-                    &st.mask,
-                    warp_id,
-                    pc,
-                    AccessKind::Write,
-                    recorded,
-                );
-            }
-        }
-        COp::AtomGlobal {
-            op,
-            ty,
-            mem,
-            src,
-            dst,
-        } => {
-            // Never on the uniform path (serialized applications differ
-            // from one application); faithful port of the interpreter arm.
-            exec.stats.atomics += 1;
-            exec.stats.global_accesses += 1;
-            d.atomics = 1;
-            d.global_accesses = 1;
-            d.global_transactions = mlen as u64;
-            d.atomic_cycles = mlen as u64 * exec.cost.atomic_lane;
-            exec.scratch_addr.clear();
-            for &l in &st.mask {
-                exec.scratch_addr
-                    .push((mem_addr(&st.regs, n, mem, l), mem.size));
-            }
-            exec.observe_mem(
-                TraceSpace::Global,
-                &st.mask,
-                warp_id,
-                pc,
-                AccessKind::Atomic,
-                recorded,
-            );
-            if dst.is_some() && matches!(exec.view, MemView::Overlay(_)) {
-                return Err(AccessAbort::NeedsSequential("atomic with a result operand"));
-            }
-            for (i, &l) in st.mask.iter().enumerate() {
-                let addr = exec.scratch_addr[i].0;
-                let v = opnd(&st.regs, n, *src, l).convert(*ty);
-                if let Some(old) = exec.view.atom(*op, *ty, addr, v)? {
-                    if let Some(dr) = dst {
-                        st.regs[dr * n + l] = old;
-                    }
-                }
-            }
-            exec.stats.global_transactions += mlen as u64;
-        }
-        COp::Bar => {
-            exec.stats.barriers += 1;
-            d.barriers = 1;
-            d.barrier_cycles = exec.cost.barrier;
-            for &l in &st.mask {
-                exec.threads[l].at_barrier = true;
-                exec.threads[l].pc = pc + 1;
-            }
-            flow = Flow::Stop;
-        }
-        COp::Bra { target, cond } => {
-            match cond {
-                None => {
-                    for &l in &st.mask {
-                        exec.threads[l].pc = *target;
-                    }
-                }
-                Some((r, expect)) => {
-                    if uniform {
-                        let take = st.regs[r * n + l0].as_bool() == *expect;
-                        let to = if take { *target } else { pc + 1 };
-                        for &l in &st.mask {
-                            exec.threads[l].pc = to;
-                        }
-                    } else {
-                        for &l in &st.mask {
-                            let take = st.regs[r * n + l].as_bool() == *expect;
-                            exec.threads[l].pc = if take { *target } else { pc + 1 };
-                        }
-                    }
-                }
-            }
-            d.alu_cycles = exec.cost.alu;
-            flow = Flow::Stop;
-        }
-        COp::Ret => {
-            for &l in &st.mask {
-                exec.threads[l].exited = true;
-            }
-            flow = Flow::Stop;
-        }
-    }
-    exec.cycles_raw += d.cycles();
-    if let Some(p) = exec.prof.as_mut() {
-        p.record(pc, warp_id, &d);
-    }
-    Ok(flow)
-}
-
 /// Global-memory charge shared by the load/store arms (identical to the
 /// interpreter's bookkeeping).
 #[inline]
@@ -1895,12 +1032,9 @@ fn charge_shared(exec: &mut BlockExec, d: &mut PcCounters, ways: u64) {
     d.conflict_cycles = (ways - 1) * exec.cost.shared_way;
 }
 
-// ---------------------------------------------------------------------------
-// Typed execution
-// ---------------------------------------------------------------------------
-
-/// Per-block state of the typed tier: one flat bit row per register and
-/// constant (`bits[row * n + lane]`), plus the scratch buffers.
+/// Per-block state: one flat bit row per register and constant
+/// (`bits[row * n + lane]`), plus the scratch buffers (the interpreter
+/// allocates fresh containers for these on every warp-step).
 struct TypedState {
     bits: Vec<u64>,
     n: usize,
@@ -2256,18 +1390,16 @@ fn coalesced(addrs: &[(u64, usize)], size: usize) -> bool {
             .all(|(i, &(a, _))| a == addrs[0].0 + (i * size) as u64)
 }
 
-/// Typed twin of [`run_block`]: same warp scheduling, bit rows instead
-/// of [`Value`] rows.
-fn run_block_typed(
-    ck: &CompiledKernel,
-    plan: &TypedPlan,
-    exec: &mut BlockExec,
-) -> Result<(), AccessAbort> {
+/// Run one block through the compiled tier. Drives the same
+/// [`BlockExec`] the interpreter uses — barrier bookkeeping, watchdog,
+/// overlap folding, traces, sanitizer shadows, and profiles are shared
+/// code, not re-implementations.
+pub(crate) fn run_block(ck: &CompiledKernel, exec: &mut BlockExec) -> Result<(), AccessAbort> {
     let warp = exec.dev.warp_size as usize;
     let n = exec.threads.len();
     let num_warps = n.div_ceil(warp);
     let mut st = TypedState {
-        bits: vec![0u64; (plan.num_regs + plan.consts.len()) * n],
+        bits: vec![0u64; (ck.num_regs + ck.consts.len()) * n],
         n,
         mask: Vec::with_capacity(warp),
         contig: true,
@@ -2275,8 +1407,8 @@ fn run_block_typed(
         bank_counts: vec![0; exec.dev.shared_banks as usize],
         tmp: Vec::with_capacity(warp),
     };
-    for (i, &c) in plan.consts.iter().enumerate() {
-        let r = (plan.num_regs + i) * n;
+    for (i, &c) in ck.consts.iter().enumerate() {
+        let r = (ck.num_regs + i) * n;
         st.bits[r..r + n].fill(c);
     }
     loop {
@@ -2308,7 +1440,7 @@ fn run_block_typed(
                 }
                 st.contig = st.mask[st.mask.len() - 1] - st.mask[0] + 1 == st.mask.len();
                 let whole = st.mask.len() == runnable;
-                run_group_typed(ck, plan, exec, &mut st, warp_id, min_pc, whole)?;
+                run_group_typed(ck, exec, &mut st, warp_id, min_pc, whole)?;
             }
         }
         if !exec.barrier_round()? {
@@ -2329,15 +1461,14 @@ enum TFlow {
     Goto(usize),
 }
 
-/// Typed twin of [`run_group`], extended to chase the group across runs:
-/// as long as every active lane leaves a run together (fallthrough or a
+/// Execute the current group's run (constant mask; see module docs for
+/// why this is exact), chasing the group across runs: as long as every active lane leaves a run together (fallthrough or a
 /// branch every lane takes the same way), keep executing with the same
 /// mask instead of handing back to the per-warp min-pc scan. Thread `pc`s
 /// are only materialized at the points the scheduler can observe them
 /// (barrier, exit, divergence).
 fn run_group_typed(
     ck: &CompiledKernel,
-    plan: &TypedPlan,
     exec: &mut BlockExec,
     st: &mut TypedState,
     warp_id: u32,
@@ -2347,12 +1478,12 @@ fn run_group_typed(
     let mut leader = leader;
     loop {
         let ri = ck.run_of[leader];
-        let run = ck.runs[ri];
+        let run = ck.runs[ri].clone();
         debug_assert_eq!(run.start, leader, "groups rest only at leaders");
         let uniform = ck.run_uniform[ri];
         let mut next = run.end;
-        for pc in run.start..run.end {
-            let flow = exec_top(plan, exec, st, warp_id, pc, uniform)?;
+        for pc in run {
+            let flow = exec_top(ck, exec, st, warp_id, pc, uniform)?;
             exec.watchdog()?;
             match flow {
                 TFlow::Next => {}
@@ -2376,11 +1507,12 @@ fn run_group_typed(
     }
 }
 
-/// Execute one typed instruction for the current group. The
-/// instrumentation sequence is byte-for-byte the interpreter's (and
-/// [`exec_op`]'s); only the register representation differs.
+/// Execute one lowered instruction for the current group, with a
+/// one-lane-and-broadcast path for uniform runs. The instrumentation
+/// sequence is byte-for-byte the interpreter's `step` — same order, same
+/// error points; only the register representation differs.
 fn exec_top(
-    plan: &TypedPlan,
+    ck: &CompiledKernel,
     exec: &mut BlockExec,
     st: &mut TypedState,
     warp_id: u32,
@@ -2411,7 +1543,7 @@ fn exec_top(
     let n = st.n;
     let l0 = st.mask[0];
     let mut flow = TFlow::Next;
-    match &plan.tops[pc] {
+    match &ck.tops[pc] {
         TOp::Broadcast { dst, bits } => {
             fill(&mut st.bits, n, &st.mask, st.contig, *dst, *bits);
             d.alu_cycles = exec.cost.alu;
@@ -2889,7 +2021,6 @@ mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::coalesce;
-    use crate::ir::MemRef;
 
     /// A kernel with uniform and divergent runs, a loop, and a barrier:
     /// tree-reduction-shaped control flow.
@@ -2921,7 +2052,7 @@ mod tests {
     #[test]
     fn compile_splits_runs_at_branches_and_barriers() {
         let k = shaped_kernel();
-        let ck = CompiledKernel::compile(&k).expect("compiles");
+        let ck = CompiledKernel::compile(&k, &[Value::U64(0x1000)]).expect("compiles");
         // Every pc belongs to exactly one run; runs tile the stream.
         assert_eq!(ck.run_of.len(), k.insts.len());
         let mut covered = 0;
@@ -2945,7 +2076,7 @@ mod tests {
     #[test]
     fn uniformity_analysis_classifies_registers() {
         let k = shaped_kernel();
-        let ck = CompiledKernel::compile(&k).expect("compiles");
+        let ck = CompiledKernel::compile(&k, &[Value::U64(0x1000)]).expect("compiles");
         // %r0 = param (uniform), %r1 = tid.x (divergent), %r2 = cvt(tid)
         // (divergent), %r3 = loop counter from constants under uniform
         // control (uniform), %r4 = loop-exit predicate (uniform),
@@ -2963,7 +2094,7 @@ mod tests {
         assert!(pretty.contains("per-lane"), "{pretty}");
     }
 
-    /// Golden test of the pre-decoded block form for a fixed kernel.
+    /// Golden test of the compiled run form for a fixed kernel.
     #[test]
     fn describe_golden() {
         let mut b = KernelBuilder::new("g");
@@ -2977,7 +2108,7 @@ mod tests {
         b.place(out);
         b.ret();
         let k = b.finish();
-        let ck = CompiledKernel::compile(&k).expect("compiles");
+        let ck = CompiledKernel::compile(&k, &[Value::U64(0x1000)]).expect("compiles");
         let expect = "\
 .compiled (regs=4, runs=3)
   run 0: pc 0..4 per-lane [bra.cond -> 6 | 4]
@@ -3000,7 +2131,7 @@ mod tests {
             num_params: 0,
             lines: vec![],
         };
-        assert!(CompiledKernel::compile(&k).is_none());
+        assert!(CompiledKernel::compile(&k, &[]).is_none());
         // Falls off the end (no hard terminator).
         let k = Kernel {
             name: "fall".into(),
@@ -3014,7 +2145,7 @@ mod tests {
             num_params: 0,
             lines: vec![],
         };
-        assert!(CompiledKernel::compile(&k).is_none());
+        assert!(CompiledKernel::compile(&k, &[]).is_none());
         // Branch to one past the end.
         let k = Kernel {
             name: "off".into(),
@@ -3031,7 +2162,7 @@ mod tests {
             num_params: 0,
             lines: vec![],
         };
-        assert!(CompiledKernel::compile(&k).is_none());
+        assert!(CompiledKernel::compile(&k, &[]).is_none());
     }
 
     /// The allocation-free coalescing twins agree with the reference
@@ -3077,28 +2208,50 @@ mod tests {
         }
     }
 
+    /// One static type per register or no compiled form: a register
+    /// written at two types, or a `Select` between arms of two types,
+    /// makes `compile` refuse and the launch interpret.
     #[test]
-    fn typed_plan_builds_for_single_typed_kernels() {
-        let k = shaped_kernel();
-        let mut ck = CompiledKernel::compile(&k).expect("compiles");
-        ck.specialize(&[Value::U64(0x1000)]);
-        assert!(
-            ck.typed.is_some(),
-            "single-typed kernel should get a typed plan"
-        );
-    }
+    fn compile_requires_one_type_per_register() {
+        assert!(CompiledKernel::compile(&shaped_kernel(), &[Value::U64(0x1000)]).is_some());
 
-    #[test]
-    fn typed_plan_rejects_mixed_type_register_reuse() {
         let mut b = KernelBuilder::new("mixed");
         let r = b.mov_imm(Value::I32(1));
         b.bin_to(r, BinOp::Add, Ty::F32, r, Value::F32(1.0));
+        assert!(CompiledKernel::compile(&b.finish(), &[]).is_none());
+
+        let mut b = KernelBuilder::new("mixed_select");
+        let c = b.mov_imm(Value::Pred(true));
+        b.select(c, Value::I32(1), Value::F32(1.0));
+        assert!(CompiledKernel::compile(&b.finish(), &[]).is_none());
+    }
+
+    /// The compiled tier and kverify answer different uniformity
+    /// questions, pinned on one kernel. A load from a uniform address is
+    /// uniform across the lanes that execute it together, so the branch
+    /// on it runs as one broadcast group here; across the whole block the
+    /// warps read at different times, so kverify counts the same branch
+    /// as divergent and flags the barrier under it.
+    #[test]
+    fn uniform_address_load_is_uniform_in_lockstep_only() {
+        let mut b = KernelBuilder::new("ldbar");
+        let p = b.param(0);
+        let v = b.ld_global(Ty::I32, MemRef::direct(p));
+        let c = b.cmp(CmpOp::Gt, Ty::I32, v, Value::I32(0));
+        let skip = b.new_label();
+        b.bra_unless(c, skip);
+        b.bar();
+        b.place(skip);
+        b.ret();
         let k = b.finish();
-        let mut ck = CompiledKernel::compile(&k).expect("compiles");
-        ck.specialize(&[]);
-        assert!(
-            ck.typed.is_none(),
-            "a register written at two types must fall back to the generic tier"
+        let ck = CompiledKernel::compile(&k, &[Value::U64(0x1000)]).expect("compiles");
+        assert!(ck.uniform_regs.iter().all(|&u| u), "{}", ck.describe());
+        assert!(ck.run_uniform.iter().all(|&u| u), "{}", ck.describe());
+        let rep = crate::verify::verify_kernel(
+            &k,
+            crate::exec::LaunchConfig::d1(1, 64),
+            &crate::verify::VerifyConfig::default(),
         );
+        assert_eq!(rep.count(crate::verify::VerifyClass::SyncCheck), 1, "{rep}");
     }
 }

@@ -19,14 +19,16 @@
 /// device property).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecTier {
-    /// Pick the fastest tier that can run the kernel (currently: the
-    /// compiled tier whenever the kernel is non-empty).
+    /// Pick the fastest tier that can run the kernel: the compiled tier
+    /// whenever [`crate::compiled::CompiledKernel::compile`] lowers it,
+    /// else the interpreter.
     #[default]
     Auto,
     /// Force the reference interpreter (one `Inst` dispatch per warp-step).
     Interpret,
-    /// Force the compiled tier: pre-decoded basic-block runs, an SoA
-    /// register file, and warp-uniform fast paths (see [`crate::compiled`]).
+    /// Force the compiled tier: a typed lowering over basic-block runs, a
+    /// bit-row register file, and warp-uniform fast paths (see
+    /// [`crate::compiled`]). Kernels it cannot lower still interpret.
     Compiled,
 }
 

@@ -288,7 +288,7 @@ pub(crate) struct BlockExec<'a, 'g> {
     pub(crate) trace: Option<Trace>,
     pub(crate) san: Option<BlockSanitizer>,
     pub(crate) prof: Option<BlockProfile>,
-    /// Pre-decoded form of `kernel`; `Some` routes [`BlockExec::run`]
+    /// Compiled form of `kernel`; `Some` routes [`BlockExec::run`]
     /// through the compiled tier (see [`crate::compiled`]).
     pub(crate) ck: Option<&'a crate::compiled::CompiledKernel>,
 }
@@ -1119,19 +1119,16 @@ pub fn run_kernel_instrumented(
             got: params.len() as u32,
         });
     }
-    // Tier selection: pre-decode once per launch and share the compiled
-    // form across every block/worker. `compile` returns `None` for the
-    // (degenerate) kernels the compiled tier does not handle, in which
-    // case the interpreter runs even when the tier was forced.
+    // Tier selection: lower once per launch (parameter types feed the
+    // register type inference) and share the compiled form across every
+    // block/worker. `compile` returns `None` for kernels the compiled tier
+    // does not model — empty, able to fall or branch past the end, or
+    // writing one register at two types — and the interpreter then runs
+    // even when the tier was forced.
     let compiled = match dev.exec_tier {
         crate::cost::ExecTier::Interpret => None,
         crate::cost::ExecTier::Auto | crate::cost::ExecTier::Compiled => {
-            crate::compiled::CompiledKernel::compile(kernel).map(|mut ck| {
-                // Parameter types feed the typed tier's register type
-                // inference, so specialization happens per launch.
-                ck.specialize(params);
-                ck
-            })
+            crate::compiled::CompiledKernel::compile(kernel, params)
         }
     };
     let ck = compiled.as_ref();

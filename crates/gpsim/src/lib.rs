@@ -39,6 +39,7 @@
 
 pub mod builder;
 pub mod cert;
+pub(crate) mod cfg;
 pub mod coalesce;
 pub mod compiled;
 pub mod cost;

@@ -377,8 +377,25 @@ fn run_once(
     }
 }
 
-/// Assert interpreter ≡ compiled for one kernel across the harness matrix.
+/// Assert that `kernel` lowers to the compiled tier, then that
+/// interpreter ≡ compiled across the harness matrix. Without the first
+/// check a kernel that fell back would compare the interpreter with
+/// itself.
 fn assert_tiers_agree(kernel: &Kernel, seed: u64) {
+    // `compile` reads only the parameter types; `run_once` passes two
+    // `U64` buffer addresses.
+    let params = [Value::U64(0), Value::U64(0)];
+    assert!(
+        gpsim::CompiledKernel::compile(kernel, &params).is_some(),
+        "seed={seed}: kernel does not lower to the compiled tier\n{}",
+        kernel.disasm()
+    );
+    assert_runs_agree(kernel, seed);
+}
+
+/// Assert that launches at `ExecTier::Interpret` and `ExecTier::Compiled`
+/// are identical in every observable across the harness matrix.
+fn assert_runs_agree(kernel: &Kernel, seed: u64) {
     for &host_threads in &[1u32, 4] {
         for &sanitize in &[false, true] {
             for &profile in &[false, true] {
@@ -454,11 +471,12 @@ fn nan_edge_cases_bit_identical_across_tiers() {
     assert_tiers_agree(&k, 0);
 }
 
-/// A register reused at two different types defeats the typed plan's
-/// flow-insensitive inference; the compiled tier must fall back to its
-/// generic `Value` rows and still agree bit-for-bit.
+/// A register reused at two different types defeats the compiled tier's
+/// flow-insensitive type inference: `compile` refuses, and a launch
+/// forced to the compiled tier falls back to the interpreter and still
+/// agrees bit-for-bit.
 #[test]
-fn mixed_type_register_reuse_agrees_across_tiers() {
+fn mixed_type_register_reuse_falls_back_to_interpreter() {
     let mut b = KernelBuilder::new("mixed_reuse");
     let _data = b.param(0);
     let out = b.param(1);
@@ -479,7 +497,9 @@ fn mixed_type_register_reuse_agrees_across_tiers() {
     let i = b.cvt(Ty::I64, lin);
     b.st_global(Ty::I32, MemRef::indexed(out, i, 4), fold);
     let k = b.finish();
-    assert_tiers_agree(&k, 0);
+    let params = [Value::U64(0), Value::U64(0)];
+    assert!(gpsim::CompiledKernel::compile(&k, &params).is_none());
+    assert_runs_agree(&k, 0);
 }
 
 /// Lane-dependent trip counts around a backward branch: the warp
@@ -606,7 +626,7 @@ fn compiled_tier_falls_back_on_unmodelled_shapes() {
     b.st_global(Ty::I32, MemRef::indexed(p, i, 4), tid);
     b.bar();
     let k = b.finish(); // builder appends ret; still compilable
-    assert!(gpsim::CompiledKernel::compile(&k).is_some());
+    assert!(gpsim::CompiledKernel::compile(&k, &[Value::U64(0)]).is_some());
 
     // A branch target one past the end of the stream (legal per the
     // builder, reachable only if taken) is not modelled; compile()
@@ -631,7 +651,7 @@ fn compiled_tier_falls_back_on_unmodelled_shapes() {
         num_params: 0,
         lines: vec![],
     };
-    assert!(gpsim::CompiledKernel::compile(&k2).is_none());
+    assert!(gpsim::CompiledKernel::compile(&k2, &[]).is_none());
     let mut dev = Device::test_small();
     dev.set_exec_tier(ExecTier::Compiled);
     dev.launch(&k2, LaunchConfig::d1(1, 32), &[]).unwrap();
